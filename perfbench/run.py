@@ -6,9 +6,9 @@ Usage, from the root of a checkout:
     python3 perfbench/run.py --workload <ingest-hot|ingest-fleet|read-mix> \
         --seed <n> --seconds <s> --trace <0|1> [--tiny] [--fault <name>]
 
-Builds `sketchd` (the repository's release profile) and the benchmark
-driver from source into $CARGO_TARGET_DIR (default `.bench_build`), then
-runs the driver, which spawns sketchd as a child process. The last line
+Builds `sketchd` (the repository's release profile) and the `perfbench`
+binary from source into $CARGO_TARGET_DIR (default `.bench_build`), then
+runs that binary, which spawns sketchd as a child process. The last line
 of standard output is the JSON result; build output goes to standard
 error. Exit codes: 0 success, 1 a correctness gate failed, 2 the run
 could not complete (no result line).

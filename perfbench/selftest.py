@@ -12,7 +12,7 @@
 3. In a directory holding only BENCHMARK.json and the benchmark's own
    files, the benchmark exits non-zero without printing a result.
 
-Also runs the driver's unit tests (cargo test). Exits non-zero on the
+Also runs the perfbench binary's unit tests (cargo test). Exits non-zero on the
 first failed check.
 """
 
@@ -55,7 +55,7 @@ def main():
         ["cargo", "test", "--release", "--offline", "--quiet",
          "--manifest-path", os.path.join("perfbench", "Cargo.toml")],
         cwd=ROOT, env=env)
-    check(unit.returncode == 0, "driver unit tests pass")
+    check(unit.returncode == 0, "perfbench unit tests pass")
 
     for w in spec["workloads"]:
         for trace, key in (("0", "end_to_end"), ("1", "per_layer")):
