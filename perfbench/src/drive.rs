@@ -5,7 +5,6 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use sketch_server::{answer_now, Client};
@@ -13,15 +12,14 @@ use stream_gen::SeededRng;
 
 use crate::daemon::{Sketchd, Stats};
 use crate::json::Json;
-use crate::stats::median;
 use crate::workload::{
     audit_set, key, render_batch, score, AuditPoint, AuditScore, Ev, Loop, Trace, CONNS, VIEWS,
     WINDOW,
 };
 use crate::{Ctx, Fault};
 
-/// How often connection 0 of a closed loop reads while it writes.
-const READ_PERIOD: Duration = Duration::from_millis(10);
+/// Write segments of a closed loop's timed phase, each after a read probe.
+const SEGMENTS: usize = 4;
 /// Lines per `BATCH` while warming up or preloading (untimed).
 const WARM_BATCH: usize = 16_384;
 /// Share of the preload lap ingested before the `SNAPSHOT` on `read-mix`;
@@ -61,23 +59,19 @@ impl Ops {
 pub struct E2e {
     /// Each set-up's spawn → first `PING` ack, seconds.
     pub setups: Vec<f64>,
-    /// Events acked in the whole timed phase.
+    /// Events acked in the timed phase, and its length: from its start to
+    /// the last ack.
     pub timed_acked: u64,
-    /// Events acked in the timed phase's quiet windows, and their length.
-    pub quiet_acked: u64,
-    pub quiet_secs: f64,
-    /// Quiet windows used, of all windows.
-    pub quiet_windows: (usize, usize),
-    /// Share of the host's CPU time stolen during the timed phase.
-    pub steal_share: f64,
-    /// `BATCH` round trips of the quiet windows, ms.
+    pub timed_secs: f64,
+    /// Acked `BATCH` round trips of the timed phase, ms.
     pub ack_ms: Vec<f64>,
-    /// Point `QUERY`, `TOPK`, `VIEW READ` round trips of the quiet windows,
-    /// µs; a closed loop's `VIEW READ`s come from the unloaded probe.
+    /// Round trips of the point `QUERY`, `TOPK` and `VIEW READ` replies
+    /// that were ok, µs: from the timed phase on the open loop, from the
+    /// unloaded probe on the closed loops.
     pub query_us: Vec<f64>,
     pub topk_us: Vec<f64>,
     pub view_us: Vec<f64>,
-    /// sketchd CPU over the timed phase, seconds.
+    /// sketchd CPU over the timed phase (its write segments), seconds.
     pub cpu_secs: f64,
     pub peak_rss_bytes: f64,
     pub audit: Option<AuditScore>,
@@ -339,23 +333,48 @@ fn read_once(client: &mut Client, cmd: &str, needs_now: bool, out_missing_now: &
     }
 }
 
-/// Unloaded `VIEW READ` probe for closed-loop workloads, which register
-/// no views for their timed phase: create the views, read them one at a
-/// time, drop them again.
-fn probe(ctx: &Ctx, d: &Sketchd, out: &mut E2e) -> Result<(), String> {
+/// Unloaded read probe for the closed loops, between their write
+/// segments: create the views, then send `VIEW READ`s, point `QUERY`s and
+/// `TOPK`s at tick `now`, one at a time and each kind for
+/// `ctx.scale.probe_secs`, then drop the views so the writes never
+/// maintain them. A fixed time rather than a fixed count spreads every
+/// median over the host's state, even where one `TOPK` takes under a
+/// millisecond.
+fn probe(
+    ctx: &Ctx,
+    d: &Sketchd,
+    trace: &Trace,
+    now: u64,
+    rng: &mut SeededRng,
+    out: &mut E2e,
+) -> Result<(), String> {
     let mut client = d.client()?;
     create_views(&mut client)?;
-    for i in 0..ctx.scale.probe {
-        let t0 = Instant::now();
-        let ok = read_once(
-            &mut client,
-            &format!("VIEW READ bench-view-{}", i % VIEWS),
-            false,
-            &mut 0,
-        );
-        out.view_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        out.ops.count(ok);
+    let mut lane = Lane::default();
+    for kind in [Read::View, Read::Point, Read::TopK] {
+        let end = Instant::now() + Duration::from_secs_f64(ctx.scale.probe_secs);
+        while Instant::now() < end {
+            timed_read(
+                &mut client,
+                rng,
+                trace,
+                now,
+                kind,
+                Instant::now(),
+                &mut lane,
+            );
+        }
     }
+    if lane.missing_now > 0 {
+        out.gate_failures.push(format!(
+            "{} probe QUERY replies carried no \"now\"",
+            lane.missing_now
+        ));
+    }
+    out.ops.add(lane.ops);
+    out.query_us.extend(lane.queries);
+    out.topk_us.extend(lane.topks);
+    out.view_us.extend(lane.views);
     for i in 0..VIEWS {
         let resp = client
             .call(&format!("VIEW DROP bench-view-{i}"))
@@ -368,34 +387,44 @@ fn probe(ctx: &Ctx, d: &Sketchd, out: &mut E2e) -> Result<(), String> {
     Ok(())
 }
 
-/// One timed-phase sample: when it completed, its value, and the events
-/// it acked (0 for reads).
-type Sample = (Instant, f64, u64);
-
-/// What one generator thread measured in the timed phase.
+/// What one generator thread measured.
 #[derive(Default)]
 struct Lane {
-    acks: Vec<Sample>,
-    queries: Vec<Sample>,
-    topks: Vec<Sample>,
-    views: Vec<Sample>,
+    /// Acked `BATCH` round trips, ms, and the events they acked.
+    acks: Vec<f64>,
+    acked: u64,
+    /// When the last acked `BATCH` came back.
+    last_ack: Option<Instant>,
+    /// Round trips of ok read replies, µs.
+    queries: Vec<f64>,
+    topks: Vec<f64>,
+    views: Vec<f64>,
     ops: Ops,
     late_ms_max: f64,
-    /// Host steal time samples, about one a second (one lane takes them).
-    steal: Vec<(Instant, f64)>,
     missing_now: u64,
 }
 
 impl Lane {
-    /// Sample host steal time if a second has passed since the last one.
-    fn tick(&mut self) {
-        let now = Instant::now();
-        if self
-            .steal
-            .last()
-            .is_none_or(|&(t, _)| now - t >= Duration::from_secs(1))
-        {
-            self.steal.push((now, host_steal_secs()));
+    /// Count one `BATCH` of `n` events that took `ms`; only an ack is timed.
+    fn batch(&mut self, n: usize, ok: bool, ms: f64) {
+        self.ops.count(ok);
+        if ok {
+            self.acks.push(ms);
+            self.acked += n as u64;
+            self.last_ack = Some(Instant::now());
+        }
+    }
+
+    /// Count one read of `kind` that took `us`; only an ok reply is timed,
+    /// so a fast error reply cannot improve a latency.
+    fn read(&mut self, kind: Read, ok: bool, us: f64) {
+        self.ops.count(ok);
+        if ok {
+            match kind {
+                Read::Point => self.queries.push(us),
+                Read::TopK => self.topks.push(us),
+                Read::View => self.views.push(us),
+            }
         }
     }
 }
@@ -408,8 +437,8 @@ enum Read {
     View,
 }
 
-/// Issue one timed-phase read of `kind` at tick `now` and record its
-/// round trip, timed from `from` (when it was due, on an open loop).
+/// Issue one read of `kind` at tick `now` and record its round trip,
+/// timed from `from` (when it was due, on an open loop).
 fn timed_read(
     client: &mut Client,
     rng: &mut SeededRng,
@@ -434,106 +463,38 @@ fn timed_read(
         Read::View => format!("VIEW READ bench-view-{}", rng.next_u64() as usize % VIEWS),
     };
     let ok = read_once(client, &cmd, kind == Read::Point, &mut lane.missing_now);
-    let sample = (Instant::now(), from.elapsed().as_secs_f64() * 1e6, 0);
-    match kind {
-        Read::Point => lane.queries.push(sample),
-        Read::TopK => lane.topks.push(sample),
-        Read::View => lane.views.push(sample),
-    }
-    lane.ops.count(ok);
+    lane.read(kind, ok, from.elapsed().as_secs_f64() * 1e6);
 }
 
-/// Seconds of CPU time the hypervisor stole from this host so far, summed
-/// over its CPUs (`/proc/stat`, USER_HZ ticks); 0 where unavailable.
-fn host_steal_secs() -> f64 {
-    std::fs::read_to_string("/proc/stat")
-        .ok()
-        .and_then(|s| {
-            let fields: Vec<&str> = s.lines().next()?.split_whitespace().collect();
-            fields.get(8)?.parse::<f64>().ok()
-        })
-        .map_or(0.0, |ticks| ticks / 100.0)
-}
-
-/// The timed phase's quiet half: consecutive steal samples bound windows
-/// of about a second; keep those whose steal rate is at or below the
-/// median window's. Co-tenants of a shared host steal CPU in bursts of
-/// seconds, and the stolen share swings widely between runs; timing only
-/// the quieter half makes runs comparable. Selection uses the host's
-/// steal counter, never the measured values.
-fn quiet_windows(steal: &[(Instant, f64)]) -> Vec<(Instant, Instant)> {
-    let windows: Vec<(Instant, Instant, f64)> = steal
-        .windows(2)
-        .map(|w| {
-            let secs = (w[1].0 - w[0].0).as_secs_f64().max(1e-9);
-            (w[0].0, w[1].0, (w[1].1 - w[0].1) / secs)
-        })
-        .collect();
-    let cut = median(&windows.iter().map(|w| w.2).collect::<Vec<_>>());
-    windows
-        .into_iter()
-        .filter(|w| w.2 <= cut)
-        .map(|w| (w.0, w.1))
-        .collect()
-}
-
-/// Fold the lanes into `out`, keeping only samples that completed in the
-/// quiet windows. `VIEW READ`s of closed loops come from the unloaded
-/// probe and are kept as they are.
-fn finish(lanes: Vec<Lane>, out: &mut E2e) {
-    let mut steal = Vec::new();
-    let mut all = Lane::default();
+/// Fold the lanes of a timed phase, or of one write segment, into `out`;
+/// it began at `start`.
+fn finish(lanes: Vec<Lane>, start: Instant, out: &mut E2e) {
+    let mut missing_now = 0;
+    let mut last_ack = start;
     for lane in lanes {
-        out.timed_acked += lane.acks.iter().map(|a| a.2).sum::<u64>();
+        out.timed_acked += lane.acked;
         out.ops.add(lane.ops);
         out.late_ms_max = out.late_ms_max.max(lane.late_ms_max);
-        all.missing_now += lane.missing_now;
-        steal.extend(lane.steal);
-        all.acks.extend(lane.acks);
-        all.queries.extend(lane.queries);
-        all.topks.extend(lane.topks);
-        all.views.extend(lane.views);
+        missing_now += lane.missing_now;
+        last_ack = last_ack.max(lane.last_ack.unwrap_or(start));
+        out.ack_ms.extend(lane.acks);
+        out.query_us.extend(lane.queries);
+        out.topk_us.extend(lane.topks);
+        out.view_us.extend(lane.views);
     }
-    if all.missing_now > 0 {
-        out.gate_failures.push(format!(
-            "{} QUERY replies carried no \"now\"",
-            all.missing_now
-        ));
-    }
-    steal.sort_by_key(|s| s.0);
-    let quiet = quiet_windows(&steal);
-    let in_quiet = |t: Instant| quiet.iter().any(|&(a, b)| a <= t && t < b);
-    let keep = |samples: &[Sample]| -> Vec<f64> {
-        samples
-            .iter()
-            .filter(|s| in_quiet(s.0))
-            .map(|s| s.1)
-            .collect()
-    };
-    out.ack_ms = keep(&all.acks);
-    out.quiet_acked = all.acks.iter().filter(|a| in_quiet(a.0)).map(|a| a.2).sum();
-    out.quiet_secs = quiet.iter().map(|&(a, b)| (b - a).as_secs_f64()).sum();
-    if let (Some(first), Some(last)) = (steal.first(), steal.last()) {
-        let span = (last.0 - first.0).as_secs_f64().max(1e-9);
-        out.steal_share = (last.1 - first.1) / span / cores() as f64;
-    }
-    out.quiet_windows = (quiet.len(), steal.len().saturating_sub(1));
-    out.query_us = keep(&all.queries);
-    out.topk_us = keep(&all.topks);
-    if !all.views.is_empty() {
-        out.view_us = keep(&all.views);
+    out.timed_secs += (last_ack - start).as_secs_f64();
+    if missing_now > 0 {
+        out.gate_failures
+            .push(format!("{missing_now} QUERY replies carried no \"now\""));
     }
 }
 
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// Closed loop: each connection sends its next `BATCH` of its own
-/// tenants' stream as soon as the previous one is acked, until the run's
-/// seconds are up. Connection 0 also reads while the writes flow: after
-/// a batch, once `READ_PERIOD` has passed since its last read, one point
-/// `QUERY` (90%) or `TOPK` (10%) at its latest tick.
+/// Closed loop: in each of `SEGMENTS` write segments, each connection
+/// sends its next `BATCH` of its own tenants' stream as soon as the
+/// previous one is acked. Nothing else shares the connections, so rate and
+/// CPU time are the write path's alone. An unloaded read probe runs before
+/// each segment, so the read latencies sample the whole run rather than a
+/// few seconds of the host's state.
 fn closed_loop(
     ctx: &Ctx,
     d: &Sketchd,
@@ -541,73 +502,58 @@ fn closed_loop(
     batch: usize,
     out: &mut E2e,
 ) -> Result<(), String> {
-    let seconds = ctx.seconds;
-    let barrier = Barrier::new(CONNS);
-    let lanes: Vec<Result<Lane, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CONNS)
-            .map(|c| {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let mut client = d.client()?;
-                    let mut buf = String::new();
-                    let mut lane = Lane::default();
-                    let mut j = trace.conns[c].len();
-                    let mut rng = SeededRng::seed_from_u64(ctx.seed ^ 0x5EAD_0000_0000_0001);
-                    let mut next_read = Instant::now();
-                    barrier.wait();
-                    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-                    while Instant::now() < deadline {
-                        if c == 0 {
-                            lane.tick();
-                        }
-                        let t = Instant::now();
-                        let (n, ok) = send_batch(
-                            &mut client,
-                            &mut buf,
-                            (j..j + batch).map(|i| trace.conn_event(c, i)),
-                        );
-                        let done = Instant::now();
-                        lane.acks.push((
-                            done,
-                            (done - t).as_secs_f64() * 1e3,
-                            if ok { n as u64 } else { 0 },
-                        ));
-                        lane.ops.count(ok);
-                        j += batch;
-                        if c == 0 && done >= next_read {
-                            let now = trace.conn_event(c, j - 1).ts;
-                            let kind = if rng.gen_f64() < 0.9 {
-                                Read::Point
-                            } else {
-                                Read::TopK
-                            };
-                            timed_read(
+    let mut next: Vec<usize> = trace.conns.iter().map(Vec::len).collect();
+    let mut rng = SeededRng::seed_from_u64(ctx.seed ^ 0x5EAD_0000_0000_0001);
+    let seconds = ctx.seconds / SEGMENTS as f64;
+    for _ in 0..SEGMENTS {
+        // The oldest of the connections' latest ticks: every tenant's
+        // clock has reached it.
+        let now = (0..CONNS)
+            .map(|c| trace.conn_event(c, next[c] - 1).ts)
+            .min()
+            .expect("at least one connection");
+        probe(ctx, d, trace, now, &mut rng, out)?;
+        let cpu0 = d.cpu_seconds()?;
+        let start = Instant::now() + Duration::from_millis(50);
+        let deadline = start + Duration::from_secs_f64(seconds);
+        let lanes: Vec<Result<(Lane, usize), String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CONNS)
+                .map(|c| {
+                    let mut j = next[c];
+                    s.spawn(move || {
+                        let mut client = d.client()?;
+                        let mut buf = String::new();
+                        let mut lane = Lane::default();
+                        wait_until(start);
+                        while Instant::now() < deadline {
+                            let t = Instant::now();
+                            let (n, ok) = send_batch(
                                 &mut client,
-                                &mut rng,
-                                trace,
-                                now,
-                                kind,
-                                Instant::now(),
-                                &mut lane,
+                                &mut buf,
+                                (j..j + batch).map(|i| trace.conn_event(c, i)),
                             );
-                            next_read = Instant::now() + READ_PERIOD;
+                            lane.batch(n, ok, t.elapsed().as_secs_f64() * 1e3);
+                            j += batch;
                         }
-                    }
-                    if c == 0 {
-                        lane.steal.push((Instant::now(), host_steal_secs()));
-                    }
-                    lane.ops.retries = client.retries();
-                    Ok(lane)
+                        lane.ops.retries = client.retries();
+                        Ok((lane, j))
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest thread panicked"))
-            .collect()
-    });
-    let lanes = lanes.into_iter().collect::<Result<Vec<_>, _>>()?;
-    finish(lanes, out);
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ingest thread panicked"))
+                .collect()
+        });
+        let mut done = Vec::with_capacity(CONNS);
+        for (c, lane) in lanes.into_iter().enumerate() {
+            let (lane, j) = lane?;
+            next[c] = j;
+            done.push(lane);
+        }
+        out.cpu_secs += d.cpu_seconds()? - cpu0;
+        finish(done, start, out);
+    }
     Ok(())
 }
 
@@ -681,12 +627,7 @@ fn open_loop(ctx: &Ctx, d: &Sketchd, trace: &Trace, out: &mut E2e) -> Result<(),
                     &mut buf,
                     (j..j + write_batch).map(|i| trace.global_event(i)),
                 );
-                lane.acks.push((
-                    Instant::now(),
-                    due.elapsed().as_secs_f64() * 1e3,
-                    if ok { n as u64 } else { 0 },
-                ));
-                lane.ops.count(ok);
+                lane.batch(n, ok, due.elapsed().as_secs_f64() * 1e3);
                 if ok {
                     let last = trace.global_event(j + write_batch - 1).ts;
                     frontier.store(last, Ordering::Relaxed);
@@ -706,7 +647,6 @@ fn open_loop(ctx: &Ctx, d: &Sketchd, trace: &Trace, out: &mut E2e) -> Result<(),
                 if due >= end {
                     break;
                 }
-                lane.tick();
                 let now = frontier.load(Ordering::Relaxed);
                 lane.late_ms_max = lane.late_ms_max.max(wait_until(due));
                 let kind = if rng.gen_f64() < 0.95 {
@@ -716,7 +656,6 @@ fn open_loop(ctx: &Ctx, d: &Sketchd, trace: &Trace, out: &mut E2e) -> Result<(),
                 };
                 timed_read(&mut client, &mut rng, trace, now, kind, due, &mut lane);
             }
-            lane.steal.push((Instant::now(), host_steal_secs()));
             lane.ops.retries = client.retries();
             Ok(lane)
         });
@@ -725,7 +664,7 @@ fn open_loop(ctx: &Ctx, d: &Sketchd, trace: &Trace, out: &mut E2e) -> Result<(),
             reader.join().expect("reader thread panicked"),
         )
     });
-    finish(vec![writer?, reader?], out);
+    finish(vec![writer?, reader?], start, out);
     Ok(())
 }
 
@@ -758,19 +697,16 @@ pub fn run(ctx: &Ctx, trace: &Trace) -> Result<E2e, String> {
     }
     let points = audit_set(trace, ctx.seed, ctx.scale.audit, now);
     audit(ctx, &d, &points, now, &mut out)?;
-    if ctx.w.is_open() {
-        create_views(&mut d.client()?)?;
-    } else {
-        probe(ctx, &d, &mut out)?;
-    }
     out.resident_bytes = d.stats()?.memory_bytes;
-
-    let cpu0 = d.cpu_seconds()?;
     match ctx.w.offered {
         Loop::Closed { batch } => closed_loop(ctx, &d, trace, batch, &mut out)?,
-        Loop::Open { .. } => open_loop(ctx, &d, trace, &mut out)?,
+        Loop::Open { .. } => {
+            create_views(&mut d.client()?)?;
+            let cpu0 = d.cpu_seconds()?;
+            open_loop(ctx, &d, trace, &mut out)?;
+            out.cpu_secs = d.cpu_seconds()? - cpu0;
+        }
     }
-    out.cpu_secs = d.cpu_seconds()? - cpu0;
     acked_here += out.timed_acked;
 
     out.stats = d.stats()?;
@@ -795,4 +731,24 @@ pub fn run(ctx: &Ctx, trace: &Trace) -> Result<E2e, String> {
     d.kill();
     let _ = std::fs::remove_dir_all(&ctx.work);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_ok_replies_are_timed() {
+        let mut lane = Lane::default();
+        lane.read(Read::TopK, true, 900.0);
+        lane.read(Read::TopK, false, 5.0);
+        lane.read(Read::Point, false, 5.0);
+        lane.batch(1024, false, 0.1);
+        lane.batch(1024, true, 2.0);
+        assert_eq!(lane.topks, vec![900.0]);
+        assert!(lane.queries.is_empty());
+        assert_eq!(lane.acks, vec![2.0]);
+        assert_eq!(lane.acked, 1024);
+        assert_eq!((lane.ops.attempted, lane.ops.failed), (5, 3));
+    }
 }
