@@ -24,12 +24,11 @@
 //!
 //! **Reads do not go through the ingest threads.** A `ShardedEcm` is
 //! plain data: queries run on whatever thread holds a reference. For
-//! concurrent readers beside a writer, wrap it in the left-right pair of
-//! [`crate::publish`] ([`EcmWriter`](crate::EcmWriter) /
-//! [`EcmReader`](crate::EcmReader)): the writer batches into a private
-//! copy and periodically publishes an immutable snapshot that any number
-//! of readers pin and query wait-free, with answers bit-identical to the
-//! write copy's at the publication point.
+//! concurrent readers beside a writer, publish snapshots through the
+//! left-right pair of [`crate::publish`] ([`LeftRight`](crate::LeftRight)):
+//! the writer keeps a private copy and periodically publishes an immutable
+//! snapshot that any number of readers pin and query wait-free, with
+//! answers bit-identical to the write copy's at the publication point.
 
 use std::sync::mpsc;
 use std::thread;

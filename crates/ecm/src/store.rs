@@ -48,8 +48,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
-use crate::api::{Sketch, SketchSpec, SpecError};
+use crate::api::{Clock, Sketch, SketchSpec, SpecError};
 use crate::query::{Answer, Query, QueryError, WindowSpec};
 use crate::sketch::StreamEvent;
 use crate::snapshot::{
@@ -73,9 +74,13 @@ pub enum Eviction {
 /// is the key's current position in [`SketchStore::order`] (refreshed per
 /// write under LRU, the creation stamp under FIFO), `last_written` the
 /// stamp of the most recent write.
+///
+/// The sketch is shared, not owned: cloning an entry bumps a reference
+/// count, and every write goes through [`unshare`], which copies the
+/// sketch first if a clone still holds it.
 #[derive(Clone)]
 struct Entry {
-    sketch: Box<dyn Sketch>,
+    sketch: Arc<dyn Sketch>,
     order_stamp: u64,
     last_written: u64,
 }
@@ -84,12 +89,16 @@ struct Entry {
 /// grouped batched ingest, cross-key queries and bounded capacity. See the
 /// [module docs](self) for the full tour.
 ///
-/// The store is `Clone`: a clone is a deep, bit-identical copy (every
-/// boxed sketch is copied through [`crate::api::CloneSketch`], clock and
-/// write stamps included), which is what the left-right publication path
-/// ([`crate::publish`]) snapshots — queries against the clone answer
-/// exactly what the original would have answered at the moment of the
-/// copy.
+/// The store is `Clone`, and a clone is shallow: the two stores share
+/// every sketch (one reference-count bump per key) plus copies of the
+/// clock and write stamps. Writes are copy-on-write per key — the first
+/// write to a key that a clone still shares copies that one sketch
+/// through [`crate::api::CloneSketch`] and leaves the clone's untouched.
+/// So a clone answers exactly what the original would have answered at
+/// the moment of the copy, and holding one costs only the keys written
+/// since. This is what the left-right publication path
+/// ([`crate::publish`]) snapshots; a store that was never cloned never
+/// copies a sketch.
 #[derive(Clone)]
 pub struct SketchStore<K> {
     spec: SketchSpec,
@@ -223,14 +232,14 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
             self.entries.insert(
                 key.clone(),
                 Entry {
-                    sketch,
+                    sketch: Arc::from(sketch),
                     order_stamp: stamp,
                     last_written: stamp,
                 },
             );
             self.order.insert(stamp, key.clone());
             let entry = self.entries.get_mut(key).expect("just inserted");
-            return &mut *entry.sketch;
+            return unshare(&mut entry.sketch);
         }
         let entry = self.entries.get_mut(key).expect("presence checked");
         if self.eviction == Eviction::Lru {
@@ -240,7 +249,7 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
             entry.order_stamp = stamp;
         }
         entry.last_written = stamp;
-        &mut *entry.sketch
+        unshare(&mut entry.sketch)
     }
 
     /// Discard the policy's victim: the oldest stamp in the eviction
@@ -305,12 +314,22 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
     /// with no arrivals. Does not refresh write recency. Keys whose write
     /// clock actually moves are marked dirty — the clock is sketch state an
     /// incremental snapshot must carry — while keys already at or past `ts`
-    /// are provably unchanged and stay out of the next delta.
+    /// are left untouched: they stay out of the next delta, and a sketch a
+    /// clone shares is not copied for them. Count-based sketches ignore
+    /// the advance (their clock only moves on arrivals), so nothing is
+    /// touched at all.
     pub fn advance_to(&mut self, ts: u64) {
+        if self.spec.clock() == Clock::Count {
+            return;
+        }
         for (key, entry) in &mut self.entries {
             let before = entry.sketch.write_clock();
-            entry.sketch.advance_to(ts);
-            if entry.sketch.write_clock() != before {
+            if before >= ts {
+                continue;
+            }
+            let sketch = unshare(&mut entry.sketch);
+            sketch.advance_to(ts);
+            if sketch.write_clock() != before {
                 self.dirty.insert(key.clone());
             }
         }
@@ -425,6 +444,16 @@ impl<K: Eq + Hash + Ord + Clone> SketchStore<K> {
         keys.sort_unstable();
         keys
     }
+}
+
+/// Write access to one slot's sketch, copy-on-write: when a clone of the
+/// store still shares the sketch, this slot gets its own copy first, so
+/// the clone keeps answering from the bytes it was cut with.
+fn unshare(sketch: &mut Arc<dyn Sketch>) -> &mut dyn Sketch {
+    if Arc::get_mut(sketch).is_none() {
+        *sketch = Arc::from(sketch.clone_box());
+    }
+    Arc::get_mut(sketch).expect("a fresh copy has no other owner")
 }
 
 /// Leading magic of a fleet (store) snapshot — distinct from the
@@ -805,7 +834,7 @@ impl<K: Eq + Hash + Ord + Clone + SnapshotKey> SketchStore<K> {
                 .insert(
                     key,
                     Entry {
-                        sketch,
+                        sketch: Arc::from(sketch),
                         order_stamp,
                         last_written,
                     },
@@ -1055,6 +1084,91 @@ mod tests {
         store.insert(1, 50, 0);
         store.insert(2, 50, 0);
         assert_eq!(store.len(), 2);
+    }
+
+    /// Whether `key`'s sketch is the same allocation in both stores.
+    fn shares(a: &SketchStore<u64>, b: &SketchStore<u64>, key: u64) -> bool {
+        Arc::ptr_eq(&a.entries[&key].sketch, &b.entries[&key].sketch)
+    }
+
+    #[test]
+    fn a_write_after_a_clone_copies_only_the_written_key() {
+        let mut store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        for t in 1..=100u64 {
+            store.insert(1, t, t % 5);
+            store.insert(2, t, t % 7);
+        }
+        let clone = store.clone();
+        assert!(shares(&store, &clone, 1) && shares(&store, &clone, 2));
+        let w = WindowSpec::time(101, 1_000);
+        let frozen = clone.query(&1, &Query::total_arrivals(), w);
+        store.insert(1, 101, 3);
+        assert!(!shares(&store, &clone, 1), "written key was not copied");
+        assert!(shares(&store, &clone, 2), "unwritten key was copied");
+        // The clone still answers from the moment it was cut.
+        assert_eq!(clone.query(&1, &Query::total_arrivals(), w), frozen);
+        assert_ne!(store.query(&1, &Query::total_arrivals(), w), frozen);
+        // A second write to the now-unshared key copies nothing more.
+        let own = Arc::as_ptr(&store.entries[&1].sketch);
+        store.insert(1, 102, 3);
+        assert!(std::ptr::addr_eq(
+            Arc::as_ptr(&store.entries[&1].sketch),
+            own
+        ));
+    }
+
+    #[test]
+    fn advance_to_a_past_tick_copies_nothing() {
+        let mut store: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        store.insert(1, 50, 0);
+        store.insert(2, 80, 0);
+        let clone = store.clone();
+        for ts in [0, 10, 50] {
+            store.advance_to(ts);
+            assert!(shares(&store, &clone, 1) && shares(&store, &clone, 2));
+        }
+        // Only the key whose clock actually moves is copied.
+        store.advance_to(70);
+        assert!(!shares(&store, &clone, 1));
+        assert!(shares(&store, &clone, 2));
+        assert_eq!(store.get(&1).unwrap().write_clock(), 70);
+        assert_eq!(clone.get(&1).unwrap().write_clock(), 50);
+    }
+
+    #[test]
+    fn shared_entries_snapshot_byte_identically_to_unshared_ones() {
+        let feed = |store: &mut SketchStore<u64>, from: u64, to: u64| {
+            for t in from..=to {
+                store.insert(t % 6, t, t % 11);
+            }
+        };
+        let mut plain: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        let mut shared: SketchStore<u64> = SketchStore::new(spec()).unwrap();
+        feed(&mut plain, 1, 300);
+        feed(&mut shared, 1, 300);
+        let mut pins = vec![shared.clone()];
+        assert_eq!(
+            plain.write_snapshot().unwrap(),
+            shared.write_snapshot().unwrap()
+        );
+        // Touch some keys, keep a second clone alive, and let the delta
+        // mix copied and still-shared entries.
+        feed(&mut plain, 301, 303);
+        feed(&mut shared, 301, 303);
+        pins.push(shared.clone());
+        // Keys 4 and 5 (clocks 298, 299) move; key 0 (clock 300) does not.
+        plain.advance_to(300);
+        shared.advance_to(300);
+        assert!(shares(&shared, &pins[1], 0));
+        assert!(!shares(&shared, &pins[1], 4));
+        assert_eq!(
+            plain.write_incremental().unwrap(),
+            shared.write_incremental().unwrap()
+        );
+        assert_eq!(
+            plain.write_snapshot().unwrap(),
+            shared.write_snapshot().unwrap()
+        );
     }
 
     #[test]

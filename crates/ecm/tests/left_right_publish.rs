@@ -1,16 +1,15 @@
 //! Stress of the *real* `LeftRight` implementation with racing threads
 //! (the interleaving suite checks the protocol exhaustively on a step
 //! model; this file runs the shipped SeqCst code under genuine
-//! contention), plus the [`EcmWriter`]/[`EcmReader`] bit-identity
-//! contract: a published epoch answers exactly like the write copy at the
-//! same publication point.
+//! contention), plus the copy-on-write contract of publishing
+//! [`SketchStore`] clones: a pinned epoch shares sketches with the write
+//! copy, yet never changes when the writer writes through them.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ecm::publish::{EcmWriter, Epoch, LeftRight};
-use ecm::{EcmBuilder, Query, SketchReader, WindowSpec};
-use sliding_window::ExponentialHistogram;
+use ecm::publish::{Epoch, LeftRight};
+use ecm::{Backend, Clock, Query, SketchSpec, SketchStore, WindowSpec};
 
 /// Racing pins against a publishing writer: every pinned epoch must be
 /// internally consistent (value derived from its clock) and publication
@@ -77,87 +76,101 @@ fn racing_pins_only_ever_see_whole_epochs() {
     assert_eq!(lr.seq(), clock);
 }
 
-/// A reader's answer equals the write copy's answer at the publication
-/// point — for every query in the vocabulary, after every publish.
-#[test]
-fn reader_answers_are_bit_identical_to_the_write_copy_at_each_publish() {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(9).eh_config();
-    let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg, 3, 1);
-    let reader = w.reader();
+/// Every backend the spec language can build.
+fn backends() -> Vec<SketchSpec> {
+    vec![
+        SketchSpec::time(1_000).backend(Backend::Eh),
+        SketchSpec::time(1_000).backend(Backend::Dw),
+        SketchSpec::time(1_000)
+            .backend(Backend::Rw)
+            .epsilon(0.25)
+            .max_arrivals(5_000),
+        SketchSpec::time(1_000).backend(Backend::Exact),
+        SketchSpec::time(1_000).backend(Backend::Ew { buckets: 10 }),
+        SketchSpec::time(1_000).backend(Backend::Decayed),
+        SketchSpec::time(1_000).hierarchy(8),
+        SketchSpec::time(1_000).sharded(3),
+        SketchSpec::count(1_000),
+        SketchSpec::count(1_000).hierarchy(8),
+    ]
+}
 
-    let mut ts = 0u64;
-    for round in 0..20u64 {
-        for _ in 0..50 {
-            ts += 1;
-            w.insert(ts % 16, ts);
-        }
-        w.publish();
-        let window = WindowSpec::time(ts, 1_000);
-        for q in [
-            Query::total_arrivals(),
-            Query::self_join(),
-            Query::point(3),
-            Query::point(round % 16),
-        ] {
-            let published = reader.query(&q, window);
-            let direct = w.write_copy().query(&q, window);
-            match (published, direct) {
-                (Ok(p), Ok(d)) => {
-                    assert_eq!(
-                        p.value().expect("scalar").to_bits(),
-                        d.value().expect("scalar").to_bits(),
-                        "round {round}: published != write copy for {q:?}"
-                    );
-                }
-                (p, d) => panic!("round {round}: {q:?} diverged: {p:?} vs {d:?}"),
-            }
-        }
-        assert_eq!(reader.write_clock(), ts);
-        // Interval 1 publishes per write batch, so 50 inserts + the
-        // explicit publish advance seq by 51 each round.
-        assert_eq!(reader.epoch().seq, (round + 1) * 51);
-    }
+/// Every answer a pinned store gives for `key`, rendered exactly (`{:?}`
+/// of an `f64` round-trips its bits), plus the store's full snapshot.
+fn fingerprint(store: &SketchStore<String>, key: &String, w: WindowSpec) -> (Vec<String>, Vec<u8>) {
+    let answers = [
+        Query::total_arrivals(),
+        Query::self_join(),
+        Query::point(3),
+        Query::point(7),
+    ]
+    .iter()
+    .map(|q| format!("{:?}", store.query(key, q, w)))
+    .collect();
+    // Snapshotting advances a checkpoint sequence, so render from a
+    // (shallow) clone and leave the pinned store as it is.
+    let bytes = store.clone().write_snapshot().expect("snapshot");
+    (answers, bytes)
 }
 
 /// Pinned epochs are immutable snapshots: a pin taken before later writes
-/// keeps answering from its own publication point.
+/// keeps answering — and serializing — from its own publication point,
+/// although it shares the written key's sketch with the write copy until
+/// the writer's next write to that key copies it.
 #[test]
 fn old_pins_keep_their_snapshot_while_the_writer_moves_on() {
-    let cfg = EcmBuilder::new(0.1, 0.1, 1_000).seed(4).eh_config();
-    let mut w: EcmWriter<ExponentialHistogram> = EcmWriter::new(&cfg, 2, 1);
-    let reader = w.reader();
+    for (i, spec) in backends().into_iter().enumerate() {
+        let window = |now: u64| match spec.clock() {
+            Clock::Time => WindowSpec::time(now, 1_000),
+            Clock::Count => WindowSpec::last(150),
+        };
+        let hot = "tenant-7".to_string();
+        let mut store: SketchStore<String> = SketchStore::new(spec.clone()).expect("spec");
+        let lr = LeftRight::new(Epoch::initial(store.clone(), 0, 0));
+        for t in 1..=100u64 {
+            store.insert(hot.clone(), t, t % 8);
+            store.insert("tenant-1".to_string(), t, 3);
+        }
+        lr.publish(Epoch {
+            value: store.clone(),
+            seq: 0,
+            clock: 100,
+            applied: 1,
+        });
+        let frozen = lr.pin();
+        let before = fingerprint(&frozen.value, &hot, window(100));
 
-    for t in 1..=100u64 {
-        w.insert(7, t);
+        // The writer writes the same key again and publishes twice.
+        for (applied, end) in [(2u64, 150u64), (3, 200)] {
+            for t in end - 49..=end {
+                store.insert(hot.clone(), t, 7);
+            }
+            store.advance_to(end);
+            lr.publish(Epoch {
+                value: store.clone(),
+                seq: 0,
+                clock: end,
+                applied,
+            });
+        }
+
+        assert_eq!(frozen.seq, 1, "spec {i}");
+        let after = fingerprint(&frozen.value, &hot, window(100));
+        assert_eq!(before.0, after.0, "spec {i}: old pin's answers changed");
+        assert!(before.1 == after.1, "spec {i}: old pin's snapshot changed");
+        // A fresh pin sees the new writes.
+        let fresh = lr.pin();
+        assert_eq!(fresh.seq, 3, "spec {i}");
+        let total = |s: &SketchStore<String>| {
+            s.query(&hot, &Query::total_arrivals(), window(200))
+                .expect("resident")
+                .expect("total")
+                .value()
+                .expect("scalar")
+        };
+        assert!(
+            total(&fresh.value) > total(&frozen.value),
+            "spec {i}: fresh pin misses the new writes"
+        );
     }
-    w.publish();
-    let frozen = reader.epoch();
-    let before = frozen
-        .value
-        .query(&Query::total_arrivals(), WindowSpec::time(100, 1_000))
-        .expect("total")
-        .into_value()
-        .value;
-
-    for t in 101..=200u64 {
-        w.insert(7, t);
-    }
-    w.publish();
-
-    let after = frozen
-        .value
-        .query(&Query::total_arrivals(), WindowSpec::time(100, 1_000))
-        .expect("total")
-        .into_value()
-        .value;
-    assert_eq!(before.to_bits(), after.to_bits(), "old pin mutated");
-    assert!(
-        reader
-            .query(&Query::total_arrivals(), WindowSpec::time(200, 1_000))
-            .expect("total")
-            .into_value()
-            .value
-            > before,
-        "fresh pin sees the new writes"
-    );
 }

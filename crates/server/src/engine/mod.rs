@@ -26,9 +26,9 @@
 //! * Same key → always the same shard, so each key's arrival order is the
 //!   per-shard mailbox order and every per-key sketch sees exactly the
 //!   event sequence an in-process [`SketchStore`](ecm::SketchStore) would.
-//!   A published snapshot is a deep clone of that store, so a published
-//!   answer is **bit-identical** to the worker-path answer at the same
-//!   write clock — the end-to-end and differential tests pin both against
+//!   A published snapshot is a (copy-on-write) clone of that store, so a
+//!   published answer is **bit-identical** to the worker-path answer at
+//!   the same write clock — the end-to-end and differential tests pin both against
 //!   library answers.
 //! * **Ack-before-publish**: a worker publishes only after the batch is
 //!   on the write-ahead log (when durable), applied, and acked. A reader
