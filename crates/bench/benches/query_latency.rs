@@ -11,13 +11,11 @@
 //! * `heavy_hitters` — dyadic group testing over an 8-bit hierarchy
 //!   (ECM-EH only), the top-talker report.
 //!
-//! A fourth section prices the *server's* two read paths against each
-//! other while writes keep flowing: `read_scaling` runs 1/2/4 reader
-//! threads through the wait-free published-epoch path
-//! (`Engine::query_published`) and through the worker-mailbox path
-//! (`Engine::query_via_worker`) and reports queries/sec for each cell.
-//! The published path must beat the serialized path and must not
-//! collapse as readers are added; `bench_schema.rs` holds the floors.
+//! A fourth section prices the *server's* read path while writes keep
+//! flowing: `read_scaling` runs 1/2/4 reader threads through the
+//! wait-free published-epoch path (`Engine::query_served`) and reports
+//! queries/sec for each cell. The path must clear a fixed rate and must
+//! not collapse as readers are added; `bench_schema.rs` holds the floors.
 //!
 //! Results are printed and written as JSON to `BENCH_query.json` at the
 //! workspace root (`BENCH_QUERY_OUT` overrides the path); the schema is
@@ -110,16 +108,10 @@ struct ScaleRow {
 }
 
 /// Throughput of `readers` concurrent threads hammering point queries
-/// down one read path for a fixed wall-clock slice, while a background
+/// down the read path for a fixed wall-clock slice, while a background
 /// writer keeps acked batches flowing (so the published copies are
 /// genuinely republished throughout, not frozen).
-fn read_scaling_cell(
-    engine: &Arc<Engine>,
-    keys: &[String],
-    now: u64,
-    path: &'static str,
-    readers: usize,
-) -> ScaleRow {
+fn read_scaling_cell(engine: &Arc<Engine>, keys: &[String], now: u64, readers: usize) -> ScaleRow {
     const MEASURE: Duration = Duration::from_millis(250);
     let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..readers)
@@ -137,13 +129,9 @@ fn read_scaling_cell(
                         item: (i % 256) as u64,
                     };
                     i += 1;
-                    let ok = match path {
-                        "published" => engine.query_published(key, &q, w).answer.is_some(),
-                        _ => engine
-                            .query_via_worker(key, &q, w)
-                            .map(|(a, _)| a.is_some())
-                            .unwrap_or(false),
-                    };
+                    let ok = engine
+                        .query_served(key, &q, w)
+                        .is_ok_and(|served| served.answer.is_some());
                     if ok {
                         done += 1;
                     }
@@ -161,7 +149,7 @@ fn read_scaling_cell(
         .sum();
     let elapsed = start.elapsed().as_secs_f64();
     ScaleRow {
-        path,
+        path: "published",
         readers,
         queries_per_sec: total as f64 / elapsed,
     }
@@ -265,16 +253,10 @@ fn main() {
     let eh_bytes = SketchReader::memory_bytes(&eh);
     println!("warm ECM-EH memory_bytes: {eh_bytes}");
 
-    // Read scaling: the server's wait-free published-epoch path vs the
-    // worker-mailbox path, 1/2/4 reader threads each, writes flowing.
-    // Flat per-tenant sketches and a 16-batch publish interval keep the
-    // worker's publication work modest, so the mailbox cells price the
-    // serialized read path itself rather than queueing behind clones.
+    // Read scaling: the server's wait-free published-epoch path at 1/2/4
+    // reader threads, writes flowing.
     let spec = SketchSpec::time(WINDOW).epsilon(0.1).delta(0.1).seed(7);
-    let engine = Arc::new(
-        Engine::start(&ServerConfig::new(spec).shards(2).publish_interval(16))
-            .expect("engine start"),
-    );
+    let engine = Arc::new(Engine::start(&ServerConfig::new(spec).shards(2)).expect("engine start"));
     let keys: Vec<String> = (0..64).map(|t| format!("tenant-{t}")).collect();
     let mut rng = SeededRng::seed_from_u64(21);
     let mut ts = 0u64;
@@ -315,10 +297,8 @@ fn main() {
         })
     };
     let mut scaling = Vec::new();
-    for path in ["published", "mailbox"] {
-        for readers in [1usize, 2, 4] {
-            scaling.push(read_scaling_cell(&engine, &keys, served_now, path, readers));
-        }
+    for readers in [1usize, 2, 4] {
+        scaling.push(read_scaling_cell(&engine, &keys, served_now, readers));
     }
     stop_writer.store(true, Ordering::Relaxed);
     writer.join().expect("background writer");

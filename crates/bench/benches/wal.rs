@@ -3,10 +3,11 @@
 //! Prices the durability tentpole twice over:
 //!
 //! 1. **Ingest tax** — the same keyed trace through the sharded engine
-//!    with durability off (enqueue-is-ack) and on (ack-after-append):
-//!    the on/off throughput ratio is the price of never losing an acked
-//!    event. Both runs end after a `stats()` round-trip, which drains the
-//!    FIFO shard mailboxes, so the two numbers compare *applied* work.
+//!    with durability off (ack-after-apply+publish) and on
+//!    (ack-after-append, then apply+publish): the on/off throughput ratio
+//!    is the price of never losing an acked event. Every ack already
+//!    means applied, so both runs compare applied work; the closing
+//!    `stats()` call only reads the applied count, the same in both.
 //! 2. **Replay speed** — crash recovery is latest snapshot + WAL replay;
 //!    its cost grows with the log, so the bench replays logs of several
 //!    lengths into a fresh fleet and reports events/second each.
@@ -66,7 +67,8 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// Push the whole trace through one engine and return applied Meps: the
-/// clock stops only after `stats()` has round-tripped every mailbox.
+/// clock stops after the last ack and the `stats()` read of the applied
+/// count.
 fn measure_engine(cfg: &ServerConfig, trace: &[(String, StreamEvent, u64)]) -> f64 {
     let engine = Engine::start(cfg).expect("engine starts");
     let start = Instant::now();

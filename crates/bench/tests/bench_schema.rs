@@ -195,27 +195,29 @@ fn scaling_qps(text: &str, path: &str, readers: u64) -> f64 {
     field_f64(chunk, "queries_per_sec")
 }
 
+/// The rate `published@4` must reach: 3 × the `mailbox@1` rate of the
+/// last recording that still had the worker-mailbox read path
+/// (3 × 52,070.8 qps). That path is gone, so the relative floor it
+/// anchored is frozen at the value it last enforced.
+const PUBLISHED4_FLOOR_QPS: f64 = 156_213.0;
+
 #[test]
 fn query_bench_read_scaling_meets_the_floors() {
     let text = load_file("BENCH_query.json");
-    // The full 2-path × {1,2,4}-reader matrix must be present and sane.
-    for path in ["published", "mailbox"] {
-        for readers in [1, 2, 4] {
-            let qps = scaling_qps(&text, path, readers);
-            assert!(
-                qps > 0.0 && qps < 1e10,
-                "{path}@{readers}: {qps} queries/sec outside sanity range"
-            );
-        }
+    // The full {1,2,4}-reader row must be present and sane.
+    for readers in [1, 2, 4] {
+        let qps = scaling_qps(&text, "published", readers);
+        assert!(
+            qps > 0.0 && qps < 1e10,
+            "published@{readers}: {qps} queries/sec outside sanity range"
+        );
     }
     // Acceptance floor: four concurrent readers on the wait-free
-    // published-epoch path must beat one reader on the worker-serialized
-    // mailbox path by >= 3x (the tentpole's read-scaling claim).
+    // published-epoch path must clear the fixed rate above.
     let published4 = scaling_qps(&text, "published", 4);
-    let mailbox1 = scaling_qps(&text, "mailbox", 1);
     assert!(
-        published4 >= 3.0 * mailbox1,
-        "read scaling regressed: published@4 = {published4} < 3x mailbox@1 = {mailbox1}"
+        published4 >= PUBLISHED4_FLOOR_QPS,
+        "read scaling regressed: published@4 = {published4} < {PUBLISHED4_FLOOR_QPS}"
     );
     // Wait-free must mean no reader-side collapse: adding readers cannot
     // cost the published path more than half its single-reader rate
@@ -504,9 +506,10 @@ fn wal_bench_durability_tax_and_replay_meet_the_floors() {
         (ratio - implied).abs() <= 0.05 * implied,
         "on_over_off {ratio} inconsistent with rates ({implied:.3})"
     );
-    // Acceptance floor: ack-after-append may not cost more than half the
-    // enqueue-is-ack throughput (measured ~1x on the recording box — the
-    // append is a buffered page-cache write on the shard's own thread).
+    // Acceptance floor: ack-after-append (durability on) may not cost more
+    // than half the ack-after-apply+publish throughput of durability off
+    // (measured ~1x on the recording box — the append is a buffered
+    // page-cache write on the shard's own thread).
     assert!(
         ratio >= 0.5,
         "durability tax regressed: on is {ratio}x of off (< 0.5)"

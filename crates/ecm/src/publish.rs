@@ -50,19 +50,15 @@
 //! model of the same state machine; `tests/left_right_publish.rs` stresses
 //! the real implementation with racing threads.
 //!
-//! # Epoch metadata and the staleness bound
+//! # Epoch metadata
 //!
 //! Every published [`Epoch`] carries a publication sequence number
 //! ([`Epoch::seq`]), the write clock of the snapshot ([`Epoch::clock`] —
 //! the consistency point a response can echo), and the number of writes
-//! applied when it was cut ([`Epoch::applied`]). A serving layer that
-//! tracks accepted writes per shard can compare `applied` against its
-//! accepted count to decide whether the published copy is fresh enough —
-//! the server's engine does exactly this, falling back to the
-//! worker-serialized path only when a publication is pending, so clients
-//! keep read-your-writes while the common case stays wait-free. With a
-//! publication interval of `k`, a published copy is never more than `k`
-//! applied write batches behind the write copy.
+//! applied when it was cut ([`Epoch::applied`]). A writer that publishes
+//! each write before acknowledging it (as the server's shard workers do)
+//! needs no further freshness check: every acknowledged write is already
+//! on the current epoch.
 //!
 //! # Example
 //!
@@ -119,8 +115,10 @@ pub struct Epoch<T> {
     /// The snapshot's write clock (last tick written / declared when it
     /// was cut) — the consistency point served answers can carry.
     pub clock: u64,
-    /// Write batches applied when the snapshot was cut; compare against an
-    /// accepted-writes counter to bound staleness.
+    /// Write batches the writer had applied when the snapshot was cut —
+    /// monotone across publishes, so it orders epochs by the writes they
+    /// reflect (the racing-pin stress test checks it is never torn from
+    /// `value`).
     pub applied: u64,
 }
 

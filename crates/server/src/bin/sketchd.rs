@@ -8,7 +8,6 @@
 //! | `SKETCHD_ADDR` | listen address (`127.0.0.1:7070`; port 0 = ephemeral) |
 //! | `SKETCHD_SHARDS` | shard workers (4) |
 //! | `SKETCHD_MAILBOX` | per-shard mailbox depth (128) |
-//! | `SKETCHD_PUBLISH_INTERVAL` | acked write batches between read-copy publications (1) |
 //! | `SKETCHD_MAX_CONNS` | connection cap (64) |
 //! | `SKETCHD_WINDOW` | sliding-window span in ticks (1 000 000) |
 //! | `SKETCHD_CLOCK` | `time` or `count` window semantics (`time`) |
@@ -90,9 +89,6 @@ fn main() {
     }
     if let Some(depth) = env_parse("SKETCHD_MAILBOX") {
         cfg = cfg.mailbox_depth(depth);
-    }
-    if let Some(batches) = env_parse("SKETCHD_PUBLISH_INTERVAL") {
-        cfg = cfg.publish_interval(batches);
     }
     if let Some(conns) = env_parse("SKETCHD_MAX_CONNS") {
         cfg = cfg.max_connections(conns);

@@ -532,8 +532,8 @@ fn server_retry_hint(resp: &str, code_retry: bool) -> Option<Option<u64>> {
 }
 
 /// The `"now"` consistency point of a `QUERY` response line: the owning
-/// shard's write clock (maximum applied tick) when the answer was
-/// computed. `None` for error responses and responses without the field
+/// shard's write clock (the latest applied tick on time clocks, the
+/// arrival count on count clocks) when the answer was computed. `None` for error responses and responses without the field
 /// (`TOPK`, `STATS`, pre-publication servers). Clients that need
 /// read-your-writes across keys can compare it against the ticks they
 /// ingested.

@@ -81,18 +81,6 @@ pub struct ServerConfig {
     /// with the `fault-injection` feature — a plain release build refuses
     /// a config that sets it.
     pub fault_plan: Option<String>,
-    /// How many write batches a shard worker applies between publications
-    /// of its read snapshot (default 1: publish after every batch). Reads
-    /// are served wait-free from the last published copy (see
-    /// `ecm::publish`), so this knob is the staleness bound: a published
-    /// answer lags the write copy by at most `publish_interval − 1` acked
-    /// batches (a worker also publishes whenever its mailbox drains, so an
-    /// idle shard is always fresh). Raising it amortizes the per-publish
-    /// snapshot clone over more writes on ingest-heavy workloads, at the
-    /// cost of more reads falling back to the worker mailbox and standing
-    /// views being maintained at most once per interval. Must be ≥ 1
-    /// (validated by the engine).
-    pub publish_interval: u64,
 }
 
 impl ServerConfig {
@@ -116,7 +104,6 @@ impl ServerConfig {
             request_timeout: Duration::from_secs(30),
             health_deadline: Duration::from_secs(2),
             fault_plan: None,
-            publish_interval: 1,
         }
     }
 
@@ -225,13 +212,6 @@ impl ServerConfig {
     /// grammar). Refused by plain release builds.
     pub fn fault_plan(mut self, plan: impl Into<String>) -> Self {
         self.fault_plan = Some(plan.into());
-        self
-    }
-
-    /// Set how many write batches a shard applies between read-snapshot
-    /// publications (must be ≥ 1; validated by the engine).
-    pub fn publish_interval(mut self, batches: u64) -> Self {
-        self.publish_interval = batches;
         self
     }
 }

@@ -222,16 +222,14 @@ pub struct ServedAnswer {
     /// The per-sketch outcome; `None` when the key has never been
     /// written.
     pub answer: Option<Result<ecm::Answer, QueryError>>,
-    /// The owning shard's write clock (maximum applied tick) at the
-    /// moment the answer was computed. Deterministic across restarts —
+    /// The owning shard's write clock at the moment the answer was
+    /// computed: the largest `write_clock()` among its sketches (the
+    /// latest applied tick on time clocks, the arrival count on count
+    /// clocks). Deterministic across restarts —
     /// it is a function of the acked event multiset alone — which is why
     /// responses carry it (and not the publication sequence number,
     /// which is incarnation-local).
     pub clock: u64,
-    /// `true` when the answer came wait-free from the shard's published
-    /// epoch; `false` when the freshness gate sent it through the worker
-    /// mailbox.
-    pub published: bool,
 }
 
 /// The sharded serving engine. Cheap to share behind an `Arc`; every
@@ -277,9 +275,6 @@ impl Engine {
         }
         if cfg.subscriber_outbox == 0 {
             return Err(EngineError::InvalidConfig("subscriber_outbox must be >= 1"));
-        }
-        if cfg.publish_interval == 0 {
-            return Err(EngineError::InvalidConfig("publish_interval must be >= 1"));
         }
         let restore_from = cfg
             .snapshot_dir
@@ -432,12 +427,13 @@ impl Engine {
     /// collapses them back into one weighted update per run) and the batch
     /// is partitioned per shard preserving each key's order.
     ///
-    /// Without durability, the call returns once every shard has
-    /// *accepted* its partition into its mailbox — an `Ok` means the
-    /// events survive a graceful shutdown. With durability on, the call
-    /// additionally waits for each shard to append its partition to the
-    /// write-ahead log (ack-after-append) — an `Ok` means the events
-    /// survive `kill -9`. A full mailbox applies backpressure up to the
+    /// The call returns once every shard has applied its partition and
+    /// published it to the read path — an `Ok` means the events are
+    /// visible to every later query and survive a graceful shutdown.
+    /// Without durability that is all: a crash may still lose them. With
+    /// durability on, each shard appends its partition to the write-ahead
+    /// log before applying it (ack-after-append) — an `Ok` also means the
+    /// events survive `kill -9`. A full mailbox applies backpressure up to the
     /// admission deadline, then sheds with
     /// [`Overloaded`](EngineError::Overloaded); a batch rejected *before*
     /// dispatch (universe violation, cap, shutdown race, admission) is
@@ -496,60 +492,38 @@ impl Engine {
             if events.is_empty() {
                 continue;
             }
-            let reply = if self.fleet.durable {
-                let (tx, rx) = channel();
-                pending.push((i, rx));
-                Some(tx)
-            } else {
-                None
-            };
+            let (reply, rx) = channel();
             self.send(i, ShardMsg::Ingest { events, reply })?;
+            pending.push((i, rx));
         }
         drop(gate);
-        // Durable acks: every shard confirms its partition is on the log
-        // before the batch-level ack. A partial failure leaves the failing
-        // shard's partition unapplied while sibling partitions landed —
-        // the error tells the client the batch (as a whole) is not acked.
+        // Every shard confirms its partition is applied and published
+        // (and, when durable, on the log) before the batch-level ack. A
+        // partial failure leaves the failing shard's partition unapplied
+        // while sibling partitions landed — the error tells the client the
+        // batch (as a whole) is not acked.
         for (i, rx) in pending {
-            match rx.recv_timeout(self.fleet.request_timeout) {
-                Ok(ShardReply::Ingested) => {}
-                Ok(ShardReply::WalError(e)) => return Err(EngineError::Wal(e)),
-                Ok(_) => return Err(EngineError::ShardDied { shard: i }),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(EngineError::ShardTimeout { shard: i })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(self.unavailable(i)),
+            match self.collect(i, &rx)? {
+                ShardReply::Ingested => {}
+                ShardReply::WalError(e) => return Err(EngineError::Wal(e)),
+                _ => return Err(EngineError::ShardDied { shard: i }),
             }
         }
         Ok(total)
     }
 
-    /// Answer `query` over `window` from `key`'s sketch — wait-free from
-    /// the owning shard's published epoch when the freshness gate allows,
-    /// through the worker mailbox otherwise. This is the front-end's read
-    /// path.
+    /// Answer `query` over `window` from `key`'s sketch, wait-free from
+    /// the owning shard's published epoch. This is the one read path.
     ///
-    /// The gate: the router counts every write message a shard accepts
-    /// (`accepted`), and each published epoch records how many writes it
-    /// reflects (`applied`). The published copy is served only when
-    /// `applied ≥ accepted` at query arrival — so a client that received
-    /// an ingest ack always reads its own write, published or not. The
-    /// fallback enqueues behind the pending writes (FIFO mailbox), which
-    /// restores the same guarantee at mailbox latency. Either way the
-    /// answer is bit-identical to an in-process store's at the same write
-    /// clock; the returned [`ServedAnswer::clock`] is that consistency
-    /// point.
-    ///
-    /// A published read never touches the mailbox, so it keeps serving
-    /// while the worker is restarting or wedged (the fallback path would
-    /// shed or fail).
+    /// Workers publish every write before they ack it, so a client that
+    /// received an ingest ack always reads its own write here, and the
+    /// answer is bit-identical to an in-process store's over the same
+    /// acked events; the returned [`ServedAnswer::clock`] is that
+    /// consistency point. The read never touches the mailbox, so it keeps
+    /// serving while the worker is restarting or wedged.
     ///
     /// # Errors
-    /// [`ShuttingDown`](EngineError::ShuttingDown); on the fallback path
-    /// also [`Overloaded`](EngineError::Overloaded),
-    /// [`ShardRestarting`](EngineError::ShardRestarting),
-    /// [`ShardTimeout`](EngineError::ShardTimeout), or
-    /// [`ShardDied`](EngineError::ShardDied); per-sketch
+    /// [`ShuttingDown`](EngineError::ShuttingDown) only; per-sketch
     /// [`QueryError`]s come back inside the `Some`.
     pub fn query_served(
         &self,
@@ -560,82 +534,15 @@ impl Engine {
         if *self.fleet.down.read().expect("gate poisoned") {
             return Err(EngineError::ShuttingDown);
         }
-        let shard = route(key, self.fleet.slots.len());
-        let slot = &self.fleet.slots[shard];
-        let accepted = slot.accepted.load(Ordering::SeqCst);
-        let epoch = slot.published.pin();
-        if epoch.applied >= accepted {
-            slot.published_reads.fetch_add(1, Ordering::Relaxed);
-            let answer = epoch
-                .value
-                .query(&key.to_string(), &query.to_query(), window);
-            return Ok(ServedAnswer {
-                answer,
-                clock: epoch.clock,
-                published: true,
-            });
-        }
-        slot.fallback_reads.fetch_add(1, Ordering::Relaxed);
-        let (answer, clock) = self.query_via_worker(key, query, window)?;
-        Ok(ServedAnswer {
-            answer,
-            clock,
-            published: false,
-        })
-    }
-
-    /// Answer `query` through the worker mailbox unconditionally — the
-    /// pre-publication read path, retained as the freshness-gate fallback.
-    /// Public so the differential suite can compare both paths at the
-    /// same write clock.
-    ///
-    /// # Errors
-    /// As the fallback arm of [`query_served`](Engine::query_served).
-    pub fn query_via_worker(
-        &self,
-        key: &str,
-        query: &OwnedQuery,
-        window: WindowSpec,
-    ) -> Result<(Option<Result<Answer, QueryError>>, u64), EngineError> {
-        let shard = route(key, self.fleet.slots.len());
-        let (tx, rx) = channel();
-        self.request(
-            shard,
-            ShardMsg::Query {
-                key: key.to_string(),
-                query: query.clone(),
-                window,
-                reply: tx,
-            },
-        )?;
-        match self.collect(shard, &rx)? {
-            ShardReply::Answer { answer, clock } => Ok((answer, clock)),
-            _ => Err(EngineError::ShardDied { shard }),
-        }
-    }
-
-    /// Answer `query` from the owning shard's published epoch,
-    /// unconditionally and wait-free: pin, query, done — no gate, no
-    /// mailbox, no error path. The answer may lag the write copy by up to
-    /// the configured publish interval; [`ServedAnswer::clock`] says
-    /// exactly how far. This is the read-scaling bench's path.
-    pub fn query_published(
-        &self,
-        key: &str,
-        query: &OwnedQuery,
-        window: WindowSpec,
-    ) -> ServedAnswer {
-        let shard = route(key, self.fleet.slots.len());
-        let slot = &self.fleet.slots[shard];
+        let slot = &self.fleet.slots[route(key, self.fleet.slots.len())];
         let epoch = slot.published.pin();
         slot.published_reads.fetch_add(1, Ordering::Relaxed);
-        ServedAnswer {
+        Ok(ServedAnswer {
             answer: epoch
                 .value
                 .query(&key.to_string(), &query.to_query(), window),
             clock: epoch.clock,
-            published: true,
-        }
+        })
     }
 
     /// Answer `query` over `window` from `key`'s sketch. `Ok(None)` means
@@ -660,47 +567,20 @@ impl Engine {
     /// `top_k` would return, since a global top-k key is a top-k key of
     /// its own shard.
     ///
-    /// Each shard's contribution comes wait-free from its published epoch
-    /// when the freshness gate allows — a broadcast read becomes N
-    /// concurrent pins — and falls back to that shard's mailbox
-    /// otherwise.
+    /// Each shard's contribution comes wait-free from its published
+    /// epoch — a broadcast read is N concurrent pins.
     ///
     /// # Errors
     /// As [`query_served`](Engine::query_served).
     pub fn top_k(&self, k: usize, window: WindowSpec) -> Result<Vec<(String, f64)>, EngineError> {
-        let mut merged: Vec<(String, f64)> = Vec::new();
-        let mut pending = Vec::new();
-        {
-            let gate = self.fleet.down.read().expect("gate poisoned");
-            if *gate {
-                return Err(EngineError::ShuttingDown);
-            }
-            for (i, slot) in self.fleet.slots.iter().enumerate() {
-                let accepted = slot.accepted.load(Ordering::SeqCst);
-                let epoch = slot.published.pin();
-                if epoch.applied >= accepted {
-                    slot.published_reads.fetch_add(1, Ordering::Relaxed);
-                    merged.extend(epoch.value.top_k(k, &ecm::Query::total_arrivals(), window));
-                } else {
-                    slot.fallback_reads.fetch_add(1, Ordering::Relaxed);
-                    let (tx, rx) = channel();
-                    self.send(
-                        i,
-                        ShardMsg::TopK {
-                            k,
-                            window,
-                            reply: tx,
-                        },
-                    )?;
-                    pending.push((i, rx));
-                }
-            }
+        if *self.fleet.down.read().expect("gate poisoned") {
+            return Err(EngineError::ShuttingDown);
         }
-        for (i, rx) in pending {
-            match self.collect(i, &rx)? {
-                ShardReply::TopK(local) => merged.extend(local),
-                _ => return Err(EngineError::ShardDied { shard: i }),
-            }
+        let mut merged: Vec<(String, f64)> = Vec::new();
+        for slot in &self.fleet.slots {
+            let epoch = slot.published.pin();
+            slot.published_reads.fetch_add(1, Ordering::Relaxed);
+            merged.extend(epoch.value.top_k(k, &ecm::Query::total_arrivals(), window));
         }
         merged.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
@@ -1108,11 +988,6 @@ impl Engine {
     /// answers with its supervision state instead of hanging the caller.
     fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), EngineError> {
         let slot = &self.fleet.slots[shard];
-        // Writes count toward the freshness gate the moment they are
-        // accepted: a published epoch is served only once it reflects
-        // every message counted here (the worker counts each one it
-        // finishes — applied or WAL-refused — into `epoch.applied`).
-        let is_write = matches!(msg, ShardMsg::Ingest { .. } | ShardMsg::Flush { .. });
         {
             let state = slot.state.lock().expect("state poisoned");
             match &*state {
@@ -1138,9 +1013,6 @@ impl Engine {
         loop {
             match sender.try_send(msg) {
                 Ok(()) => {
-                    if is_write {
-                        slot.accepted.fetch_add(1, Ordering::SeqCst);
-                    }
                     slot.gauge.note_enqueue();
                     return Ok(());
                 }

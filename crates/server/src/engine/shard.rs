@@ -55,87 +55,60 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8], fsync: bool) -> Result<(),
 }
 
 /// The worker's half of the left-right read path (see `ecm::publish`):
-/// decides *when* a fresh snapshot of the store is published and stamps
-/// each epoch with the shard's write clock and applied-write counter.
+/// publishes a snapshot of the store after every write and stamps each
+/// epoch with the shard's write clock and applied-write counter.
 ///
-/// The worker counts every write message it finishes (`Ingest` — applied
-/// or refused by a WAL error — and `Flush`) and publishes when
-/// `publish_interval` writes have accumulated **or** the mailbox has
-/// drained, and always after a `Flush`. Publication runs *after* the ack
-/// (ack-before-publish), so a pinned epoch never shows state a crash
-/// could un-happen, and the router's freshness gate
-/// (`epoch.applied ≥ accepted`) can trust the counter.
+/// The worker publishes before it acks (append → apply → publish → ack),
+/// for `Ingest` and `Flush` alike, so every acked write is already on the
+/// published epoch and readers never need the mailbox. Publishing ahead
+/// of the ack cannot expose state a crash un-happens: with durability the
+/// run is on the write-ahead log before it is applied, so a crash between
+/// publish and ack replays it; without durability such a crash loses the
+/// write, exactly as a crash after the ack does.
 pub(super) struct Publisher {
     lr: Arc<LeftRight<SketchStore<String>>>,
-    interval: u64,
     applied: u64,
-    since_publish: u64,
-    clock: u64,
 }
 
 impl Publisher {
-    /// A publisher resuming from `applied` accepted writes, with the
-    /// clock read off the restored store.
+    /// A publisher over `lr` that publishes the (restored) `store` at once,
+    /// so readers see a rebuilt shard before its mailbox opens. The applied
+    /// count resumes from the last published epoch, so it stays monotone
+    /// across worker incarnations.
     pub(super) fn new(
         lr: Arc<LeftRight<SketchStore<String>>>,
-        interval: u64,
-        applied: u64,
         store: &SketchStore<String>,
     ) -> Publisher {
+        let applied = lr.pin().applied;
+        let publisher = Publisher { lr, applied };
+        publisher.cut(store);
+        publisher
+    }
+
+    /// Count one applied write message and publish `store`. Returns the
+    /// pinned epoch, so maintenance can read exactly what readers will.
+    fn publish(&mut self, store: &SketchStore<String>) -> Arc<Epoch<SketchStore<String>>> {
+        self.applied += 1;
+        self.cut(store)
+    }
+
+    /// Publish `store` stamped with its consistency point: the largest
+    /// write clock among its sketches — the same `now` a fleet-wide
+    /// standing view evaluates at. It is a function of the store alone, so
+    /// a restart that restores the same sketches stamps the same clock.
+    fn cut(&self, store: &SketchStore<String>) -> Arc<Epoch<SketchStore<String>>> {
         let clock = store
             .iter()
             .map(|(_, s)| s.write_clock())
             .max()
             .unwrap_or(0);
-        Publisher {
-            lr,
-            interval,
-            applied,
-            since_publish: 0,
-            clock,
-        }
-    }
-
-    /// Count one finished write message whose latest tick was `ts`.
-    fn wrote(&mut self, ts: u64) {
-        self.applied += 1;
-        self.since_publish += 1;
-        self.clock = self.clock.max(ts);
-    }
-
-    /// The shard's write clock (maximum applied tick) — the consistency
-    /// point stamped onto every query response.
-    pub(super) fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// Publish a snapshot of `store` now, returning the pinned epoch (so
-    /// maintenance can read exactly what readers will).
-    pub(super) fn publish_now(
-        &mut self,
-        store: &SketchStore<String>,
-    ) -> Arc<Epoch<SketchStore<String>>> {
-        self.since_publish = 0;
         self.lr.publish(Epoch {
             value: store.clone(),
             seq: 0, // assigned by LeftRight::publish
-            clock: self.clock,
+            clock,
             applied: self.applied,
         });
         self.lr.pin()
-    }
-
-    /// Publish if the interval elapsed or the mailbox drained.
-    fn maybe_publish(
-        &mut self,
-        store: &SketchStore<String>,
-        drained: bool,
-    ) -> Option<Arc<Epoch<SketchStore<String>>>> {
-        if self.since_publish >= self.interval || drained {
-            Some(self.publish_now(store))
-        } else {
-            None
-        }
     }
 }
 
@@ -202,22 +175,15 @@ pub(super) fn run(
                 match appended {
                     Ok(()) => {
                         ingested += events.len() as u64;
-                        let latest = events.iter().map(|(_, e)| e.ts).max().unwrap_or(0);
                         store.ingest(&events);
-                        if let Some(reply) = reply {
-                            let _ = reply.send(ShardReply::Ingested);
-                        }
-                        // Ack-before-publish: the snapshot lands behind
-                        // the ack but before the next message, so a
-                        // pinned epoch never shows unacked state and a
-                        // reader queued behind this batch (FIFO mailbox)
-                        // always sees it applied. Maintenance reads the
-                        // just-published epoch — views observe exactly
-                        // what wait-free readers do.
-                        publisher.wrote(latest);
-                        if let Some(epoch) = publisher.maybe_publish(&store, gauge.is_drained()) {
-                            publish(&hub, &views.maintain(&epoch.value));
-                        }
+                        // Publish before the ack (see `Publisher`): the
+                        // acked run is visible to every reader the moment
+                        // the client hears about it. Maintenance runs after
+                        // the ack, from the just-published epoch, so views
+                        // observe exactly what readers do.
+                        let epoch = publisher.publish(&store);
+                        let _ = reply.send(ShardReply::Ingested);
+                        publish(&hub, &views.maintain(&epoch.value));
                         if let Some(w) = &mut wal {
                             if w.needs_compaction() {
                                 if let Some(dir) = &snapshot_dir {
@@ -233,35 +199,9 @@ pub(super) fn run(
                         }
                     }
                     Err(e) => {
-                        if let Some(reply) = reply {
-                            let _ = reply.send(ShardReply::WalError(e));
-                        }
-                        // The refused run still counts toward the
-                        // freshness gate (the router bumped `accepted` at
-                        // enqueue): republish the unchanged store with
-                        // the new applied count, so readers are not
-                        // pinned to the fallback path forever.
-                        publisher.wrote(0);
-                        let _ = publisher.maybe_publish(&store, gauge.is_drained());
+                        let _ = reply.send(ShardReply::WalError(e));
                     }
                 }
-            }
-            ShardMsg::Query {
-                key,
-                query,
-                window,
-                reply,
-            } => {
-                let _ = faults.fire(FaultSite::Shard);
-                let answer = store.query(&key, &query.to_query(), window);
-                let _ = reply.send(ShardReply::Answer {
-                    answer,
-                    clock: publisher.clock(),
-                });
-            }
-            ShardMsg::TopK { k, window, reply } => {
-                let local = store.top_k(k, &ecm::Query::total_arrivals(), window);
-                let _ = reply.send(ShardReply::TopK(local));
             }
             ShardMsg::Stats { reply } => {
                 let view_stats = views.stats();
@@ -280,14 +220,12 @@ pub(super) fn run(
             }
             ShardMsg::Flush { ts, reply } => {
                 store.advance_to(ts);
+                // Published before the ack, like an ingest. A clock advance
+                // writes no key, so the dirty-key watermark sees nothing;
+                // every non-cold view re-evaluates against the published
+                // epoch instead.
+                let epoch = publisher.publish(&store);
                 let _ = reply.send(ShardReply::Flushed);
-                // A flush always publishes — the slid windows must be
-                // visible to wait-free readers immediately. A clock
-                // advance writes no key, so the dirty-key watermark sees
-                // nothing; every non-cold view re-evaluates against the
-                // published epoch instead.
-                publisher.wrote(ts);
-                let epoch = publisher.publish_now(&store);
                 publish(&hub, &views.refresh(&epoch.value));
             }
             ShardMsg::ViewCreate { def, reply } => {

@@ -35,7 +35,7 @@ pub enum FaultSite {
     WalRotate,
     /// At the start of a checkpoint / compaction write.
     Snapshot,
-    /// At a shard worker's receipt of an ingest or query message, before
+    /// At a shard worker's receipt of an ingest message, before
     /// any WAL append — a `panic` here kills the worker with the message
     /// applied nowhere.
     Shard,

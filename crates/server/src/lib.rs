@@ -14,11 +14,10 @@
 //!   to its senders without stalling sibling shards. Mailboxes carry
 //!   *writes*; queries are served wait-free from each shard's published
 //!   left-right epoch ([`ecm::publish`]) — per-key queries pin the owning
-//!   shard's epoch, cross-key queries pin all N concurrently and merge —
-//!   with a freshness gate that falls back to the worker mailbox whenever
-//!   the published copy trails the shard's accepted writes, preserving
-//!   read-your-writes. `Snapshot` messages reuse the PR-5 checkpoint
-//!   machinery per shard.
+//!   shard's epoch, cross-key queries pin all N concurrently and merge.
+//!   A worker publishes each write before it acks it, so every acked
+//!   write is visible to the next query (read-your-writes). `Snapshot`
+//!   messages reuse the PR-5 checkpoint machinery per shard.
 //! * **Protocol + front-end** ([`protocol`], [`frontend`]) — a
 //!   newline-delimited command language (`STORE`, `BATCH`, `QUERY`, `TOPK`,
 //!   `STATS`, `FLUSH`, `SNAPSHOT`, `PING`, `SHUTDOWN`) with a hand-rolled

@@ -129,8 +129,10 @@ pub fn answer(query: &str, a: &Answer) -> String {
 }
 
 /// A query [`Answer`] with its consistency point: [`answer`] plus a
-/// trailing `"now"` field carrying the owning shard's write clock (the
-/// maximum applied tick) at the moment the answer was computed. The
+/// trailing `"now"` field carrying the owning shard's write clock (its
+/// sketches' largest `write_clock()`: the latest applied tick on time
+/// clocks, the arrival count on count clocks) at the moment the answer
+/// was computed. The
 /// clock is a pure function of the acked event multiset, so two servers
 /// that acked the same events render byte-identical responses — which is
 /// what lets the differential and chaos suites keep comparing whole
@@ -167,17 +169,17 @@ pub fn stats(rows: &[ShardStatus], views: &ViewsSummary) -> String {
         .iter()
         .map(|r| {
             let h = &r.health;
+            // `"fallback_reads":0` is a constant kept for perfbench's STATS parser.
             let health = format!(
                 "\"health\":{{\"state\":\"{}\",\"restarts\":{},\"last_restart_ms\":{},\
                  \"mailbox_hwm\":{},\"shed_requests\":{},\"published_reads\":{},\
-                 \"fallback_reads\":{}}}",
+                 \"fallback_reads\":0}}",
                 h.state,
                 h.restarts,
                 h.last_restart_ms,
                 h.mailbox_hwm,
                 h.shed_requests,
-                h.published_reads,
-                h.fallback_reads
+                h.published_reads
             );
             match &r.stats {
                 Some(s) => format!(

@@ -162,8 +162,9 @@ fn retry_until_ok<T>(mut call: impl FnMut() -> Result<T, EngineError>, what: &st
 #[test]
 fn restart_shard_respawns_from_wal_without_losing_siblings() {
     // Durable engine: a crash-shaped restart must replay the WAL tail, so
-    // every *acked* write survives. (Without durability an ack only means
-    // "accepted into the mailbox" — a crash may legitimately drop it.)
+    // every *acked* write survives. (Without durability an ack means
+    // "applied and visible", not crash-safe — a crash may legitimately
+    // drop it.)
     let dir = std::env::temp_dir().join(format!("sketchd-engine-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -255,37 +256,95 @@ fn wedged_shard_sheds_typed_overloaded_then_recovers() {
     let event = |i: u64| vec![("k".to_string(), StreamEvent::new(1, i), 1)];
     engine.ingest(&event(1)).expect("ingest 1");
     engine.ingest(&event(2)).expect("ingest 2");
-    // Message 3 stalls the worker. Fire it from a helper thread (the reply
-    // will wait out the stall) and shed against the full mailbox here.
+    // Message 3 stalls the worker. An ingest waits for its ack, so a probe
+    // that wins the depth-1 mailbox (or is itself the stalled seq-3
+    // message) blocks until the stall passes: probe from fresh threads
+    // until one is shed, and collect every probe's outcome.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut outcomes = Vec::new();
     std::thread::scope(|scope| {
-        // The helper competes with the probing loop below for the depth-1
-        // mailbox, so it may get shed too — it retries through it.
-        let stalled = scope.spawn(|| retry_until_ok(|| engine.ingest(&event(3)), "stalled ingest"));
+        let (engine, event) = (&engine, &event);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let shed = loop {
-            // Same timestamp as the helper's event: either sender may win
-            // the depth-1 mailbox slot (and become the stalled seq-3
-            // message), and equal timestamps keep the worker's per-key
-            // non-decreasing ordering valid in both interleavings.
-            match engine.ingest(&event(3)) {
-                Err(e @ EngineError::Overloaded { .. }) => break e,
-                Err(e) if e.is_retryable() => {}
-                Ok(_) => {} // admitted before the stall bit — keep probing
-                Err(e) => panic!("unexpected: {e}"),
+            let tx = tx.clone();
+            // Every probe uses the same timestamp: any of them may become
+            // the stalled message, and equal timestamps keep the worker's
+            // per-key non-decreasing ordering valid in every interleaving.
+            scope.spawn(move || {
+                let _ = tx.send(engine.ingest(&event(3)));
+            });
+            match rx.recv_timeout(std::time::Duration::from_millis(20)) {
+                Ok(Err(e @ EngineError::Overloaded { .. })) => break e,
+                // Admitted, another refusal, or still blocked behind the
+                // stall — keep probing; the outcome is checked below.
+                Ok(outcome) => outcomes.push(outcome),
+                Err(_) => {}
             }
             assert!(std::time::Instant::now() < deadline, "never shed");
         };
         assert!(shed.is_retryable());
         assert!(shed.to_string().contains("retry"), "hint in: {shed}");
-
-        // The stall passes, the supervisor flips the shard back to up, and
-        // the queue drains — the stalled send eventually lands.
-        stalled.join().expect("stalled sender");
     });
+    // The scope joined every probe: the stall passed, the supervisor
+    // flipped the shard back to up, and the blocked probes were acked.
+    drop(tx);
+    outcomes.extend(rx.try_iter());
+    for outcome in &outcomes {
+        if let Err(e) = outcome {
+            assert!(e.is_retryable(), "probe ended non-retryable: {e}");
+        }
+    }
+    assert!(
+        outcomes.iter().any(Result::is_ok),
+        "the stalled seq-3 ingest never landed: {outcomes:?}"
+    );
     retry_until_ok(|| engine.ingest(&event(9)), "ingest after recovery");
     let stats = retry_until_ok(|| engine.stats(), "stats");
     assert_eq!(stats[0].health.state, "up");
     assert_eq!(stats[0].health.restarts, 0, "wedged is not dead");
     assert!(stats[0].health.shed_requests >= 1, "{:?}", stats[0].health);
     engine.shutdown().expect("shutdown");
+}
+
+#[test]
+fn consistency_point_survives_a_restart_on_count_clocks() {
+    // On a count clock a sketch's write clock is its arrival count, not an
+    // event tick: the clock a read carries must be the same definition
+    // before and after a restart rebuilds the shard from its WAL.
+    let dir = std::env::temp_dir().join(format!("sketchd-engine-clock-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig::new(SketchSpec::count(1_000))
+        .shards(1)
+        .snapshot_dir(&dir)
+        .durability(true);
+    let engine = Engine::start(&cfg).expect("engine");
+    for _ in 0..3 {
+        engine
+            .ingest(&[("k".to_string(), StreamEvent::new(1, 500), 1)])
+            .expect("ingest");
+    }
+    let w = WindowSpec::last(1_000);
+    let before = engine
+        .query_served("k", &OwnedQuery::Total, w)
+        .expect("query before restart");
+    engine.restart_shard(0).expect("restart");
+    retry_until_ok(
+        || match engine.stats()?.first() {
+            Some(row) if row.health.restarts == 1 && row.health.state == "up" => Ok(()),
+            _ => Err(EngineError::ShardRestarting { shard: 0 }),
+        },
+        "shard back up",
+    );
+    let after = engine
+        .query_served("k", &OwnedQuery::Total, w)
+        .expect("query after restart");
+    assert_eq!(after.clock, before.clock, "restart moved \"now\"");
+    assert_eq!(before.clock, 3, "the clock counts arrivals");
+    assert_eq!(
+        format!("{:?}", after.answer),
+        format!("{:?}", before.answer),
+        "restart changed the answer"
+    );
+    engine.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }

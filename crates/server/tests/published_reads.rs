@@ -1,15 +1,16 @@
-//! Differential suite for the wait-free read path: an answer served from
-//! a shard's published epoch must render **byte-identically** to the same
-//! query serialized through the worker mailbox at the same write clock —
-//! across every backend the spec language can build, through a
-//! mid-publication checkpoint/restore, and after a crash-shaped shard
+//! Differential suite for the read path: an answer served from a
+//! shard's published epoch must render **byte-identically** to an
+//! in-process oracle [`SketchStore`] fed the same acked batches — across
+//! every backend the spec language can build, immediately after every
+//! acked write (read-your-writes, with and without durability), through
+//! a mid-publication checkpoint/restore, and after a crash-shaped shard
 //! restart replays the WAL and re-publishes.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ecm::{Backend, Clock, SketchStore, StreamEvent, Threshold, WindowSpec};
-use sketch_server::engine::{Engine, ServedAnswer};
+use ecm::{Backend, Clock, Query, SketchStore, StreamEvent, Threshold, WindowSpec};
+use sketch_server::engine::{route, Engine};
 use sketch_server::protocol::{response, OwnedQuery};
 use sketch_server::{ServerConfig, SketchSpec};
 use stream_gen::SeededRng;
@@ -78,35 +79,30 @@ fn render(q: &OwnedQuery, answer: &Option<Result<ecm::Answer, ecm::QueryError>>)
     }
 }
 
-/// Poll `query_served` until the freshness gate lets the published copy
-/// answer (publish-on-drain makes this quick once writes stop) — or until
-/// a generous deadline, at which point the caller's asserts will say why.
-fn served_published(engine: &Engine, key: &str, q: &OwnedQuery, w: WindowSpec) -> ServedAnswer {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match engine.query_served(key, q, w) {
-            Ok(served) if served.published => return served,
-            Ok(served) if Instant::now() >= deadline => return served,
-            Ok(_) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) if e.is_retryable() && Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("query_served({key}): {e}"),
-        }
-    }
+/// The consistency point the engine must stamp on a read of `key`: the
+/// largest write clock among the oracle's sketches that live on `key`'s
+/// shard.
+fn shard_clock(oracle: &SketchStore<String>, key: &str, shards: usize) -> u64 {
+    oracle
+        .iter()
+        .filter(|(k, _)| route(k, shards) == route(key, shards))
+        .map(|(_, s)| s.write_clock())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Point/range/self-join/heavy-hitter answers from the published epoch
-/// are bit-identical to the worker-serialized path at the same clock, for
-/// all ten backend shapes.
+/// are bit-identical to the oracle's, and carry the oracle's consistency
+/// point, for all ten backend shapes.
 #[test]
-fn published_and_worker_paths_agree_on_every_backend() {
+fn served_answers_match_the_oracle_on_every_backend() {
     for (i, spec) in backends().into_iter().enumerate() {
         let engine =
             Engine::start(&ServerConfig::new(spec.clone()).shards(2)).expect("engine start");
         let events = trace(600, 0xD1FF + i as u64);
         let now = events.last().expect("non-empty trace").1.ts;
         engine.ingest(&weighted(&events)).expect("ingest");
+        let oracle = mirror(&spec, &events);
 
         let window = match spec.clock() {
             Clock::Time => WindowSpec::time(now, 1_000),
@@ -114,30 +110,88 @@ fn published_and_worker_paths_agree_on_every_backend() {
         };
         for (key, _) in events.iter().take(1).chain(events.iter().rev().take(1)) {
             for q in probes() {
-                let served = served_published(&engine, key, &q, window);
-                assert!(
-                    served.published,
-                    "spec {i}: gate never admitted the published copy for {key}"
-                );
-                let (worker_answer, worker_clock) = engine
-                    .query_via_worker(key, &q, window)
-                    .expect("worker path");
+                let served = engine.query_served(key, &q, window).expect("query_served");
                 assert_eq!(
                     render(&q, &served.answer),
-                    render(&q, &worker_answer),
-                    "spec {i}: {key} {} diverged across read paths",
+                    render(&q, &oracle.query(key, &q.to_query(), window)),
+                    "spec {i}: {key} {} diverged from the oracle",
                     q.name()
                 );
                 assert_eq!(
                     served.clock,
-                    worker_clock,
-                    "spec {i}: consistency points diverged for {key} {}",
+                    shard_clock(&oracle, key, 2),
+                    "spec {i}: consistency point diverged for {key} {}",
                     q.name()
                 );
             }
         }
         engine.shutdown().expect("shutdown");
     }
+}
+
+/// Read-your-writes: after every acked `ingest`, an immediate
+/// `query_served` and `top_k` — no retry, no sleep — render exactly as
+/// the oracle fed the same acked batches does.
+fn reads_follow_every_ack(durable: bool) {
+    let specs = [
+        SketchSpec::time(1_000).seed(5).hierarchy(8),
+        SketchSpec::count(1_000).seed(5),
+    ];
+    for (i, spec) in specs.into_iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("sketchd-ryw-{durable}-{i}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ServerConfig::new(spec.clone()).shards(2);
+        if durable {
+            cfg = cfg.snapshot_dir(&dir).durability(true);
+        }
+        let engine = Engine::start(&cfg).expect("engine start");
+        let mut oracle = SketchStore::new(spec.clone()).expect("oracle spec");
+        let events = trace(400, 0x5EAD + i as u64);
+        for batch in events.chunks(20) {
+            engine.ingest(&weighted(batch)).expect("ingest");
+            oracle.ingest(batch);
+            let now = batch.last().expect("non-empty batch").1.ts;
+            let window = match spec.clock() {
+                Clock::Time => WindowSpec::time(now, 1_000),
+                Clock::Count => WindowSpec::last(50),
+            };
+            let ctx = format!("durable={durable} spec {i} at tick {now}");
+            for key in oracle.keys() {
+                for q in probes() {
+                    let served = engine.query_served(&key, &q, window).expect("query_served");
+                    assert_eq!(
+                        render(&q, &served.answer),
+                        render(&q, &oracle.query(&key, &q.to_query(), window)),
+                        "{ctx}: {key} {} missed an acked write",
+                        q.name()
+                    );
+                    assert_eq!(
+                        served.clock,
+                        shard_clock(&oracle, &key, 2),
+                        "{ctx}: {key} consistency point"
+                    );
+                }
+            }
+            assert_eq!(
+                response::topk(&engine.top_k(4, window).expect("top_k")),
+                response::topk(&oracle.top_k(4, &Query::total_arrivals(), window)),
+                "{ctx}: top_k missed an acked write"
+            );
+        }
+        engine.shutdown().expect("shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn reads_follow_every_ack_without_durability() {
+    reads_follow_every_ack(false);
+}
+
+#[test]
+fn reads_follow_every_ack_with_durability() {
+    reads_follow_every_ack(true);
 }
 
 /// An un-sharded mirror of the whole trace — per-key sketches are
@@ -156,8 +210,12 @@ fn assert_matches_mirror(
 ) {
     for key in store.keys() {
         for q in probes() {
-            let served = served_published(engine, &key, &q, window);
-            assert!(served.published, "{ctx}: {key} {} not published", q.name());
+            let served = engine.query_served(&key, &q, window).expect("query_served");
+            assert_eq!(
+                served.clock,
+                shard_clock(store, &key, engine.shards()),
+                "{ctx}: {key} consistency point"
+            );
             let expected = store.query(&key, &q.to_query(), window);
             assert_eq!(
                 render(&q, &served.answer),
@@ -169,11 +227,11 @@ fn assert_matches_mirror(
     }
 }
 
-/// A checkpoint cut while publication lags the write copy (huge publish
-/// interval + concurrent writers keeping the mailboxes busy) restores to
-/// a state whose *re-published* epochs are bit-identical to a mirror of
-/// every acked event — both after a crash-shaped per-shard restart (WAL
-/// tail replay) and after a graceful restart from disk.
+/// A checkpoint cut while concurrent writers keep the mailboxes busy and
+/// publications in flight restores to a state whose *re-published*
+/// epochs are bit-identical to a mirror of every acked event — both after
+/// a crash-shaped per-shard restart (WAL tail replay) and after a
+/// graceful restart from disk.
 #[test]
 fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
     let dir = std::env::temp_dir().join(format!("sketchd-midpub-{}", std::process::id()));
@@ -188,11 +246,7 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
     let cfg = ServerConfig::new(spec.clone())
         .shards(2)
         .snapshot_dir(&dir)
-        .durability(true)
-        // Effectively "never publish on count": publication happens only
-        // on mailbox drain, so concurrent writers leave the published
-        // copies stale for most of the run.
-        .publish_interval(u64::MAX);
+        .durability(true);
     let engine = Arc::new(Engine::start(&cfg).expect("engine start"));
 
     // Two writers over disjoint tenants (cross-thread interleaving can't
@@ -224,12 +278,13 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
         })
         .collect();
 
-    // Mid-run: cut a full checkpoint while writes are in flight and the
-    // published copies lag (reads still serve — via fallback when the
-    // freshness gate says the snapshot is behind).
+    // Mid-run: cut a full checkpoint while writes and publications are in
+    // flight (reads keep serving from the published epochs meanwhile).
     std::thread::sleep(Duration::from_millis(30));
     let w_probe = WindowSpec::time(10_000, 10_000);
-    let _ = engine.query_served("user-0", &OwnedQuery::Total, w_probe);
+    engine
+        .query_served("user-0", &OwnedQuery::Total, w_probe)
+        .expect("mid-run read");
     engine.snapshot(&dir, false).expect("mid-run checkpoint");
 
     let mut all: Vec<(String, StreamEvent)> = Vec::new();
@@ -247,7 +302,7 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
 
     // Crash-shaped restart of both shards: rebuild = mid-run checkpoint +
     // WAL tail replay, then an immediate re-publication — reads must come
-    // back `published` and bit-identical to the mirror of all acked events.
+    // back bit-identical to the mirror of all acked events.
     for shard in 0..engine.shards() {
         engine.restart_shard(shard).expect("restart");
     }
@@ -278,8 +333,8 @@ fn mid_publication_snapshot_restores_and_republishes_after_wal_replay() {
     assert_matches_mirror(&engine, &store, window, "after crash restart");
     engine.shutdown().expect("shutdown");
 
-    // Graceful restart from the same directory (default interval = 1):
-    // restore re-publishes before the engine accepts its first query.
+    // Graceful restart from the same directory: restore re-publishes
+    // before the engine accepts its first query.
     let engine = Engine::start(
         &ServerConfig::new(spec)
             .shards(2)
